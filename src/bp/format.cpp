@@ -174,33 +174,20 @@ std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data) {
   return index;
 }
 
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps) {
-  BinWriter writer;
-  writer.u32(kFtrMagic);
-  writer.u32(std::uint32_t(steps.size()));
-  for (const auto& record : steps) {
-    const std::vector<std::uint8_t> md = encode_step(record);
-    writer.u64(md.size());
-    writer.bytes(md);
-  }
-  return writer.take();
+std::uint32_t md_block_crc(std::span<const std::uint8_t> block) {
+  if (block.size() < 4) throw FormatError("bp: truncated step metadata");
+  const std::span<const std::uint8_t> tail = block.last(4);
+  return crc32c(tail, BinReader(tail).u32());
 }
 
-std::vector<StepRecord> decode_footer(std::span<const std::uint8_t> data) {
-  BinReader reader(data);
-  if (reader.u32() != kFtrMagic)
-    throw FormatError("bp: bad footer magic");
-  const std::uint32_t n = reader.u32();
-  std::vector<StepRecord> steps;
-  steps.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t length = reader.u64();
-    if (length > reader.remaining())
-      throw FormatError("bp: truncated footer step record");
-    steps.push_back(decode_step(reader.bytes(std::size_t(length))));
-  }
-  if (!reader.done()) throw FormatError("bp: trailing bytes in footer");
-  return steps;
+std::vector<std::uint8_t> encode_trailer(std::uint64_t footer_offset,
+                                         std::span<const std::uint8_t> footer) {
+  BinWriter writer;
+  writer.u64(footer_offset);
+  writer.u64(footer.size());
+  writer.u32(crc32c(footer));
+  writer.u32(kFtrMagic);
+  return writer.take();
 }
 
 }  // namespace bitio::bp

@@ -13,13 +13,14 @@
 //       torn or bit-flipped write anywhere in the container is therefore
 //       detectable on read.
 //   v6 ("MD06")  adds a per-chunk FNV-1a content hash of the raw bytes (the
-//       dedup key of incremental checkpoints) and a *footer index* appended
-//       to the end of md.0 at close: the complete step records followed by a
-//       fixed-size trailer ("FTR6") pointing back at them.  A reader that
-//       finds a valid trailer opens the container from the footer alone —
-//       O(1) seeks, no md.idx/md.0 scan; a missing, torn, or corrupt footer
-//       falls back to the v5 scan path (md.idx entries never point into the
-//       footer region, so the scan ignores it).
+//       dedup key of incremental checkpoints).
+// Closed containers end md.0 in a *footer index* ("FTR7"): a copy of the
+// md.idx pointer table (32 bytes per step) and a fixed 24-byte trailer
+// pointing back at it, so a reader opens from md.0 alone.  Step metadata is
+// written once; the footer costs O(steps) bytes.  A missing, torn, corrupt
+// or foreign footer (such as the "FTR6" footer of earlier writers, which
+// repeated every step record) falls back to the md.idx scan path, which
+// ignores the footer region.
 // Any other magic is a wrong-version/corrupt input and raises FormatError.
 
 #include <span>
@@ -34,11 +35,15 @@ inline constexpr std::uint32_t kIdxEntryBytes = 24;       // v4 record size
 inline constexpr std::uint32_t kMdMagicV5 = 0x4D443035;   // "MD05"
 inline constexpr std::uint32_t kIdxMagicV5 = 0x49445835;  // "IDX5"
 inline constexpr std::uint32_t kIdxEntryBytesV5 = 32;     // v5 record size
+inline constexpr std::uint32_t kIdxHeaderBytes = 8;       // magic | count
 inline constexpr std::uint32_t kMdMagicV6 = 0x4D443036;   // "MD06"
-inline constexpr std::uint32_t kFtrMagic = 0x46545236;    // "FTR6"
+inline constexpr std::uint32_t kFtrMagic = 0x46545237;    // "FTR7"
 /// Fixed-size footer trailer at the very end of md.0:
 ///   u64 footer_offset | u64 footer_length | u32 crc32c(footer) | u32 magic
 inline constexpr std::uint32_t kFtrTrailerBytes = 24;
+/// CRC32C of any block that ends in the little-endian CRC32C of the bytes
+/// before it — hence of every v5+ step block (see IndexEntry::md_crc).
+inline constexpr std::uint32_t kMdBlockCrcResidue = 0x48674BC7;
 
 /// Serialize one step's metadata (appended to md.0).  Writes v6: chunk CRCs
 /// and content hashes plus a trailing CRC32C over the whole block.
@@ -48,16 +53,20 @@ std::vector<std::uint8_t> encode_step(const StepRecord& record);
 StepRecord decode_step(std::span<const std::uint8_t> data);
 
 /// Serialize/parse the whole md.idx file (header + fixed-size entries).
-/// encode writes v5; decode accepts v4 and v5.
+/// encode writes v5; decode accepts v4 and v5.  A v5 md_crc is the same
+/// constant for every valid block (see IndexEntry).
 std::vector<std::uint8_t> encode_index(const std::vector<IndexEntry>& index);
 std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data);
 
-/// Serialize/parse the footer index: every drained step record, in drain
-/// order (repeated step ids keep their write order so "latest record wins"
-/// matches the scan path).  The footer body is
-///   u32 magic | u32 nsteps | { u64 length, encode_step() bytes } * nsteps
-/// and is itself protected by the CRC32C in the trailer.
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps);
-std::vector<StepRecord> decode_footer(std::span<const std::uint8_t> data);
+/// The md.idx md_crc of a v5+ step block: crc32c(whole block), continued
+/// from the CRC the block ends in over its last four bytes instead of a
+/// second pass (encode_step/decode_step already checksum the body).  Always
+/// kMdBlockCrcResidue.  Throws FormatError below four bytes.
+std::uint32_t md_block_crc(std::span<const std::uint8_t> block);
+
+/// The footer trailer for a pointer table `footer` (encode_index bytes)
+/// written at byte `footer_offset` of md.0.
+std::vector<std::uint8_t> encode_trailer(std::uint64_t footer_offset,
+                                         std::span<const std::uint8_t> footer);
 
 }  // namespace bitio::bp

@@ -10,6 +10,36 @@
 
 namespace bitio::bp {
 
+namespace {
+
+/// Decode every step block `index` points at inside `md`, later entries
+/// winning for repeated step ids.  Shared by the footer and scan paths;
+/// throws FormatError on the first bad entry or block.
+std::map<std::uint64_t, StepRecord> decode_steps(
+    const std::vector<IndexEntry>& index, std::span<const std::uint8_t> md) {
+  std::map<std::uint64_t, StepRecord> steps;
+  for (const auto& entry : index) {
+    if (entry.md_offset > md.size() ||
+        entry.md_length > md.size() - entry.md_offset)
+      throw FormatError("bp::Reader: md.idx points past md.0");
+    const auto slice = md.subspan(std::size_t(entry.md_offset),
+                                  std::size_t(entry.md_length));
+    // decode_step verifies the block's own CRC; md_crc is checked by
+    // continuation (md_block_crc) and only the step id catches an entry
+    // pointing at the wrong valid block.
+    StepRecord record = decode_step(slice);
+    if (entry.has_crc && md_block_crc(slice) != entry.md_crc)
+      throw FormatError(
+          "bp::Reader: step metadata CRC mismatch between md.idx/md.0");
+    if (record.step != entry.step)
+      throw FormatError("bp::Reader: step id mismatch between md.idx/md.0");
+    steps[record.step] = std::move(record);
+  }
+  return steps;
+}
+
+}  // namespace
+
 Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
                std::string path)
     : fs_(fs), client_(client), path_(std::move(path)) {
@@ -18,61 +48,41 @@ Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
     footer_used_ = true;
     return;
   }
-  const auto idx_bytes = io.read_all(path_ + "/md.idx");
-  const auto index = decode_index(idx_bytes);
-  const auto md_bytes = io.read_all(path_ + "/md.0");
-  for (const auto& entry : index) {
-    if (entry.md_offset + entry.md_length > md_bytes.size())
-      throw FormatError("bp::Reader: md.idx points past md.0");
-    const std::span<const std::uint8_t> slice(md_bytes.data() + entry.md_offset,
-                                              entry.md_length);
-    // v5 index entries repeat the metadata block's CRC: cross-check the
-    // md.0 slice against md.idx before parsing a byte of it.
-    if (entry.has_crc && crc32c(slice) != entry.md_crc)
-      throw FormatError(
-          "bp::Reader: step metadata CRC mismatch between md.idx/md.0");
-    StepRecord record = decode_step(slice);
-    if (record.step != entry.step)
-      throw FormatError("bp::Reader: step id mismatch between md.idx/md.0");
-    steps_[record.step] = std::move(record);  // later entries win
-  }
+  const auto index = decode_index(io.read_all(path_ + "/md.idx"));
+  steps_ = decode_steps(index, io.read_all(path_ + "/md.0"));
 }
 
 bool Reader::try_open_footer(fsim::FsClient& io) {
-  // Every failure mode here — no footer yet (pre-v6 container or mid-run
-  // attach), torn tail, bit-flipped footer — degrades to the scan path
-  // instead of failing the open; the scan then delivers its own verdicts.
+  // Every failure mode here — no footer yet (older container or mid-run
+  // attach), torn tail, bit-flipped or foreign footer, an entry that does
+  // not decode — degrades to the scan path instead of failing the open;
+  // the scan then delivers its own verdicts.
   try {
     const std::string md_path = path_ + "/md.0";
     if (!io.exists(md_path)) return false;
     const std::uint64_t size = io.stat_size(md_path);
     if (size < kFtrTrailerBytes) return false;
+    // One read covers the step blocks, the pointer table and the trailer.
     const int fd = io.open(md_path, fsim::OpenMode::read);
-    std::vector<std::uint8_t> tail(kFtrTrailerBytes);
-    const std::uint64_t got_tail =
-        io.pread(fd, size - kFtrTrailerBytes, tail);
-    bool ok = got_tail == kFtrTrailerBytes;
-    std::uint64_t footer_offset = 0, footer_length = 0;
-    std::uint32_t footer_crc = 0;
-    if (ok) {
-      BinReader trailer{std::span<const std::uint8_t>(tail)};
-      footer_offset = trailer.u64();
-      footer_length = trailer.u64();
-      footer_crc = trailer.u32();
-      ok = trailer.u32() == kFtrMagic &&
-           footer_offset + footer_length + kFtrTrailerBytes == size;
-    }
-    std::vector<std::uint8_t> footer(ok ? footer_length : 0);
-    if (ok) {
-      const std::uint64_t got = io.pread(fd, footer_offset, footer);
-      ok = got == footer_length && crc32c(footer) == footer_crc;
-    }
+    std::vector<std::uint8_t> md(size);
+    const std::uint64_t got = io.pread(fd, 0, md);
     io.close(fd);
-    if (!ok) return false;
-    for (StepRecord& record : decode_footer(footer)) {
-      const std::uint64_t step = record.step;
-      steps_[step] = std::move(record);  // later records win, as in the scan
-    }
+    if (got != size) return false;
+    const std::span<const std::uint8_t> bytes(md);
+    BinReader trailer(bytes.last(kFtrTrailerBytes));
+    const std::uint64_t footer_offset = trailer.u64();
+    const std::uint64_t footer_length = trailer.u64();
+    const std::uint32_t footer_crc = trailer.u32();
+    if (trailer.u32() != kFtrMagic ||
+        footer_length > size - kFtrTrailerBytes ||
+        footer_offset != size - kFtrTrailerBytes - footer_length)
+      return false;
+    const auto table = bytes.subspan(std::size_t(footer_offset),
+                                     std::size_t(footer_length));
+    if (crc32c(table) != footer_crc) return false;
+    // All or nothing: a table that fails partway leaves steps_ empty.
+    steps_ = decode_steps(decode_index(table),
+                          bytes.first(std::size_t(footer_offset)));
     return true;
   } catch (const Error&) {
     return false;

@@ -12,12 +12,12 @@
 // exposes the *latest* record for each id, like BP4 readers see the final
 // state.
 //
-// Open path: a closed v6 container ends md.0 with a footer index (every
-// step record + a fixed trailer), so open() costs O(1) seeks — stat, read
-// the trailer, read the footer — regardless of how many steps the file
-// holds.  Containers without a footer (pre-v6, or still being written and
-// attached mid-run via publish_index) and containers whose footer is torn
-// or corrupt fall back transparently to the md.idx + md.0 scan path;
+// Open path: a closed container ends md.0 with a footer index (a copy of
+// the md.idx pointer table + a fixed trailer), so open() needs md.0 alone:
+// stat, one open, one read.  Containers without a valid footer (older
+// layouts, torn or corrupt tails, or still being written and attached
+// mid-run via publish_index) fall back transparently to the md.idx + md.0
+// scan path; both paths decode through the same per-entry loop.
 // used_footer_index() reports which path satisfied the open.
 
 #include <cstring>
@@ -66,8 +66,8 @@ public:
   const ChunkRecord* find_chunk(std::uint64_t step, const std::string& name,
                                 std::uint32_t writer_rank) const;
 
-  /// True when open() was satisfied by the v6 footer index (O(1) seeks)
-  /// rather than the md.idx + md.0 scan path.
+  /// True when open() was satisfied by the md.0 footer index rather than
+  /// the md.idx + md.0 scan path.
   bool used_footer_index() const { return footer_used_; }
 
   /// Read and reassemble the full global array of a variable.  Chunks whose
@@ -135,10 +135,9 @@ public:
                                      const std::string& name) const;
 
 private:
-  /// O(1) open: read the trailer at the end of md.0, CRC-verify the footer
-  /// it points at, and decode every step record from it.  Returns false —
-  /// leaving steps_ empty — when there is no valid footer (pre-v6
-  /// container, mid-run attach, torn/corrupt tail); the constructor then
+  /// Footer open: read md.0, CRC-verify the pointer table its trailer
+  /// points at, and decode the step blocks it references.  Returns false,
+  /// leaving steps_ empty, when any of that fails; the constructor then
   /// falls back to the scan path.
   bool try_open_footer(fsim::FsClient& io);
   /// Fetch one chunk's raw bytes: pread the stored extent, verify its CRC,

@@ -171,7 +171,10 @@ struct StepRecord {
 };
 
 /// md.idx entry: where a step's metadata lives inside md.0.  v5 entries
-/// additionally carry the CRC32C of the referenced metadata block.
+/// also carry md_crc, the CRC32C of the whole block — which, since every
+/// v5+ block ends in its own CRC, is always the residue 0x48674BC7
+/// (kMdBlockCrcResidue): it cannot tell two valid blocks apart.  A
+/// misdirected entry is caught by the read path's step-id check instead.
 struct IndexEntry {
   std::uint64_t step = 0;
   std::uint64_t md_offset = 0;

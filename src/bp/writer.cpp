@@ -268,10 +268,7 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
   md_fd_ = root.open(path_ + "/md.0", fsim::OpenMode::create);
   idx_fd_ = root.open(path_ + "/md.idx", fsim::OpenMode::create);
   // Reserve the md.idx header (magic + count, patched at close).
-  BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(0);
-  root.pwrite(idx_fd_, 0, header.buffer());
+  root.pwrite(idx_fd_, 0, encode_index({}));
 
   if (config_.async_write) {
     drain_thread_ = std::thread([this] { drain_loop(); });
@@ -757,14 +754,13 @@ void Writer::drain_step(const StepJob& job) {
   touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
   const std::vector<std::uint8_t> md = encode_step(record);
-  IndexEntry entry{job.step, md_offset_, md.size(), crc32c(md), true};
-  BinWriter idx_bytes;
-  idx_bytes.u64(entry.step);
-  idx_bytes.u64(entry.md_offset);
-  idx_bytes.u64(entry.md_length);
-  idx_bytes.u32(entry.md_crc);
-  idx_bytes.u32(0);  // reserved (v5 entry layout)
-  const std::uint64_t idx_offset = 8 + index_.size() * kIdxEntryBytesV5;
+  IndexEntry entry{job.step, md_offset_, md.size(), md_block_crc(md), true};
+  // The entry's md.idx bytes: encode_index's layout minus its header.
+  const std::vector<std::uint8_t> idx_file = encode_index({entry});
+  const auto idx_bytes =
+      std::span<const std::uint8_t>(idx_file).subspan(kIdxHeaderBytes);
+  const std::uint64_t idx_offset =
+      kIdxHeaderBytes + index_.size() * kIdxEntryBytesV5;
   if (batched) {
     // Rank 0's two tiny per-step appends (md.0 record + md.idx entry) ride
     // one doorbell.  On the posix path each pays the synchronous
@@ -779,19 +775,16 @@ void Writer::drain_step(const StepJob& job) {
     fsim::Sqe idx_sqe;
     idx_sqe.fd = idx_fd_;
     idx_sqe.offset = idx_offset;
-    idx_sqe.iov.push_back(std::span<const std::uint8_t>(idx_bytes.buffer()));
+    idx_sqe.iov.push_back(idx_bytes);
     idx_sqe.user_data = 1;
     mq.push(std::move(idx_sqe));
     submit_and_reap(mq);
   } else {
     root.pwrite(md_fd_, md_offset_, md);
-    root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
+    root.pwrite(idx_fd_, idx_offset, idx_bytes);
   }
   md_offset_ += md.size();
   index_.push_back(entry);
-  // Retained for the footer index close() appends; the encoded bytes above
-  // are final, so the record can be moved out.
-  footer_steps_.push_back(std::move(record));
 }
 
 double Writer::compress_cpu_seconds(std::uint64_t raw_bytes) const {
@@ -816,7 +809,6 @@ Writer::DrainSnapshot Writer::snapshot_drain_state() const {
   snap.data_offsets = data_offsets_;
   snap.md_offset = md_offset_;
   snap.index_size = index_.size();
-  snap.footer_steps = footer_steps_.size();
   snap.memcopy_us = memcopy_us_total_;
   snap.compress_us = compress_us_total_;
   snap.drain_us = drain_us_total_;
@@ -831,7 +823,6 @@ void Writer::restore_drain_state(const DrainSnapshot& snap) {
   data_offsets_ = snap.data_offsets;
   md_offset_ = snap.md_offset;
   index_.resize(snap.index_size);
-  footer_steps_.resize(snap.footer_steps);
   memcopy_us_total_ = snap.memcopy_us;
   compress_us_total_ = snap.compress_us;
   drain_us_total_ = snap.drain_us;
@@ -1010,30 +1001,21 @@ void Writer::close() {
   util::MutexLock lock(mutex_);
   fsim::FsClient root(fs_, 0);
   // Patch the md.idx header with the final step count.
-  BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(std::uint32_t(index_.size()));
-  root.pwrite(idx_fd_, 0, header.buffer());
+  const std::vector<std::uint8_t> table = encode_index(index_);
+  root.pwrite(idx_fd_, 0,
+              std::span<const std::uint8_t>(table).first(kIdxHeaderBytes));
 
-  // Footer index (format v6): the complete step records appended after the
-  // last metadata block, then a fixed trailer pointing back at them.  A
-  // reader opens from the trailer in O(1) seeks; md.idx entries all point
-  // below md_offset_, so the v5 scan path is unaffected by the tail.
-  {
-    const std::vector<std::uint8_t> footer = encode_footer(footer_steps_);
-    BinWriter trailer;
-    trailer.u64(md_offset_);
-    trailer.u64(footer.size());
-    trailer.u32(crc32c(footer));
-    trailer.u32(kFtrMagic);
-    root.pwrite(md_fd_, md_offset_, footer);
-    root.pwrite(md_fd_, md_offset_ + footer.size(), trailer.buffer());
-  }
+  // Footer index ("FTR7"): a copy of the md.idx pointer table appended
+  // after the last metadata block, then a fixed trailer pointing back at
+  // it, so a reader opens from md.0 alone.  md.idx entries all point below
+  // md_offset_, so the scan path is unaffected by the tail.
+  root.pwrite(md_fd_, md_offset_, table);
+  root.pwrite(md_fd_, md_offset_ + table.size(),
+              encode_trailer(md_offset_, table));
 
   if (config_.engine == EngineType::bp5) {
     // BP5's second metadata file: a duplicate of the index for fast open.
-    const auto mmd = encode_index(index_);
-    root.write_file(path_ + "/mmd.0", mmd);
+    root.write_file(path_ + "/mmd.0", table);
   }
 
   if (config_.profiling) {

@@ -10,6 +10,7 @@
 #include "util/binio.hpp"
 #include "fsim/system_profiles.hpp"
 #include "smpi/comm.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/toml.hpp"
 
@@ -435,10 +436,10 @@ TEST(BpReader, DetectsCorruptContainer) {
     writer.end_step();
     writer.close();
   }
-  // Corrupt md.0 in place.  Also zap the footer trailer magic: with an
-  // intact footer the open is satisfied by the (self-CRC'd) footer copy of
-  // the metadata and never touches the corrupt block; breaking the trailer
-  // forces the scan path, which must reject the container.
+  // Corrupt md.0 in place.  Also zap the footer trailer magic, so the
+  // rejection is the scan path's: the footer path decodes the same corrupt
+  // block, fails and falls back to the scan, which must reject the
+  // container.
   auto& node = fs.store().file("bad.bp4/md.0");
   node.data[4] ^= 0xFF;
   node.data[node.data.size() - 1] ^= 0xFF;
@@ -487,6 +488,22 @@ std::uint64_t footer_offset_of(const fsim::FileNode& md) {
   BinReader trailer(
       std::span(md.data).subspan(md.data.size() - 24, 8));
   return trailer.u64();
+}
+
+/// Overwrite `width` bytes at `at` with little-endian `value`.
+void poke_le(std::vector<std::uint8_t>& data, std::size_t at,
+             std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i)
+    data[at + std::size_t(i)] = std::uint8_t(value >> (8 * i));
+}
+
+/// Re-seal the footer after editing its pointer table: recompute the
+/// trailer's CRC over the table, so only the table's content is at issue.
+void reseal_footer(fsim::FileNode& md) {
+  const std::size_t offset = footer_offset_of(md);
+  const std::size_t trailer = md.data.size() - kFtrTrailerBytes;
+  poke_le(md.data, trailer + 16,
+          crc32c(std::span(md.data).subspan(offset, trailer - offset)), 4);
 }
 
 }  // namespace
@@ -580,6 +597,92 @@ TEST(BpFooter, RandomAccessChunkAndSliceReads) {
   EXPECT_EQ(four, iota_floats(4, 106.f));
   EXPECT_THROW(reader.read_slice(1, "density", 10, 8), UsageError);
   EXPECT_THROW(reader.read_chunk(1, "ghost", 0), UsageError);
+}
+
+TEST(BpFooter, FooterIsOnePointerTablePlusTrailer) {
+  // The footer repeats no step metadata: md.0 is the step blocks (ending
+  // where the last md.idx entry ends), one 8-byte table header, 32 bytes
+  // per step and the 24-byte trailer — O(steps), not O(metadata).
+  fsim::SharedFs fs(4);
+  write_footer_fixture(fs, "sz.bp4");
+  const auto index = decode_index(fs.store().file("sz.bp4/md.idx").data);
+  ASSERT_EQ(index.size(), 2u);
+  const std::uint64_t md_end = index.back().md_offset + index.back().md_length;
+  const auto& md = fs.store().file("sz.bp4/md.0");
+  EXPECT_EQ(footer_offset_of(md), md_end);
+  EXPECT_EQ(md.data.size(),
+            md_end + 8 + kIdxEntryBytesV5 * index.size() + kFtrTrailerBytes);
+  // The table is the md.idx entries, byte for byte.
+  EXPECT_EQ(decode_index(std::span(md.data).subspan(
+                std::size_t(md_end), 8 + kIdxEntryBytesV5 * index.size()))
+                .back()
+                .md_offset,
+            index.back().md_offset);
+}
+
+TEST(BpFooter, PointerPastFooterOffsetFallsBackToScan) {
+  fsim::SharedFs fs(4);
+  const auto expect = write_footer_fixture(fs, "pp.bp4");
+  Reader intact = Reader::open(fs, 0, "pp.bp4");
+  ASSERT_TRUE(intact.used_footer_index());
+  // Re-point the table's second entry at the footer itself and re-seal the
+  // trailer CRC: the footer is self-consistent but names bytes that are not
+  // step metadata.  Open must reject the whole footer — not keep the first
+  // entry's step — and serve the same steps and bytes from the scan.
+  auto& md = fs.store().file("pp.bp4/md.0");
+  const std::size_t offset = footer_offset_of(md);
+  poke_le(md.data, offset + 8 + kIdxEntryBytesV5 + 8, offset, 8);
+  reseal_footer(md);
+  Reader reader = Reader::open(fs, 0, "pp.bp4");
+  EXPECT_FALSE(reader.used_footer_index());
+  EXPECT_EQ(reader.steps(), intact.steps());
+  EXPECT_EQ(reader.read_as<float>(0, "density"), iota_floats(16));
+  EXPECT_EQ(reader.read_as<float>(1, "density"), expect);
+}
+
+TEST(BpFooter, OldFtr6TrailerFallsBackToScan) {
+  // A trailer with the earlier footer magic ("FTR6": every step record
+  // repeated in the footer) is not read as a pointer table; such
+  // containers open through the scan with no compatibility branch.
+  fsim::SharedFs fs(4);
+  const auto expect = write_footer_fixture(fs, "f6.bp4");
+  auto& md = fs.store().file("f6.bp4/md.0");
+  poke_le(md.data, md.data.size() - 4, 0x46545236, 4);  // "FTR6"
+  Reader reader = Reader::open(fs, 0, "f6.bp4");
+  EXPECT_FALSE(reader.used_footer_index());
+  EXPECT_EQ(reader.steps(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(reader.read_as<float>(1, "density"), expect);
+}
+
+TEST(BpFooter, IndexEntryRepointedAtAnotherValidBlockFailsOnStepId) {
+  fsim::SharedFs fs(4);
+  write_footer_fixture(fs, "rp.bp4");
+  auto& idx = fs.store().file("rp.bp4/md.idx");
+  const auto index = decode_index(idx.data);
+  ASSERT_EQ(index.size(), 2u);
+  // Every v5+ md_crc is the CRC32C residue: the whole-block CRC of a block
+  // that ends in its own CRC.  It cannot tell the two blocks apart.
+  auto& md = fs.store().file("rp.bp4/md.0");
+  for (const auto& entry : index) {
+    EXPECT_EQ(entry.md_crc, kMdBlockCrcResidue);
+    const auto block = std::span(md.data).subspan(
+        std::size_t(entry.md_offset), std::size_t(entry.md_length));
+    EXPECT_EQ(crc32c(block), entry.md_crc);
+    EXPECT_EQ(md_block_crc(block), entry.md_crc);
+  }
+  // Point step 1's md.idx entry at step 0's (valid) block and break the
+  // trailer so the open takes the scan path: only the step id catches it.
+  poke_le(idx.data, 8 + kIdxEntryBytesV5 + 8, index[0].md_offset, 8);
+  poke_le(idx.data, 8 + kIdxEntryBytesV5 + 16, index[0].md_length, 8);
+  md.data.back() ^= 0xFF;
+  try {
+    Reader::open(fs, 0, "rp.bp4");
+    ADD_FAILURE() << "a misdirected md.idx entry was accepted";
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("step id mismatch"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // -------------------------------------------------------------- hardening ---
@@ -734,10 +837,9 @@ TEST(BpIntegrity, IndexCrossChecksStepMetadata) {
     writer.end_step();
     writer.close();
   }
-  // Flip one byte inside the md.0 step block: the md.idx entry's CRC of
-  // that block must reject the container at open.  The footer trailer is
-  // zapped first so the open takes the md.idx + md.0 scan path (the footer
-  // holds its own self-CRC'd copy of the step metadata).
+  // Flip one byte inside the md.0 step block: the block's own CRC must
+  // reject the container at open.  The footer trailer is zapped first so
+  // the open takes the md.idx + md.0 scan path.
   auto& node = fs.store().file("x.bp4/md.0");
   node.data[node.data.size() - 1] ^= 0xFF;
   node.data[16] ^= 0x01;  // inside the first (only) step block

@@ -111,6 +111,13 @@ struct LzCase {
   std::size_t size;
 };
 
+// Without this, gtest prints the raw struct bytes, and with them the
+// address of `kind`, into every discovered ctest name; the name then
+// changes with each build's address-space layout.
+void PrintTo(const LzCase& c, std::ostream* os) {
+  *os << "(\"" << c.kind << "\", " << c.size << ")";
+}
+
 class LzProperty : public ::testing::TestWithParam<LzCase> {};
 
 TEST_P(LzProperty, RoundTrip) {

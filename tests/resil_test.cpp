@@ -216,8 +216,8 @@ bool detection_round(FaultKind kind, const std::string& target,
     writer->close();
   }
   if (fs.injected_fault_count() == 0) return false;  // fault never armed
-  // Zap the v6 footer trailer: an intact footer is a self-CRC'd redundant
-  // copy of the step metadata, so md.0/md.idx corruption would be *healed*
+  // Zap the footer trailer: an intact footer carries its own CRC'd copy of
+  // the md.idx pointer table, so md.idx corruption would be *bypassed*
   // rather than detected.  This matrix is about the scan path's CRCs.
   auto& md = fs.store().file("out/c.bp4/md.0");
   if (!md.data.empty()) md.data.back() ^= 0xFF;

@@ -1,6 +1,10 @@
-// Unit tests for the util module: units, rng, stats, json, toml, table.
+// Unit tests for the util module: units, rng, stats, json, toml, table,
+// crc32c.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -247,6 +251,61 @@ TEST(Table, RendersAligned) {
 
 TEST(Table, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s-%.2f", 5, "x", 1.5), "5-x-1.50");
+}
+
+// --------------------------------------------------------------- crc32c ---
+
+using Crc32cKernel = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                       std::uint32_t);
+
+std::vector<std::uint8_t> crc_corpus(std::size_t n) {
+  Rng rng(0xC5C32u);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = std::uint8_t(rng.below(256));
+  return bytes;
+}
+
+TEST(Crc32c, CheckValueOnEveryKernel) {
+  constexpr std::string_view kCheck = "123456789";
+  const std::span<const std::uint8_t> data(
+      reinterpret_cast<const std::uint8_t*>(kCheck.data()), kCheck.size());
+  for (Crc32cKernel kernel :
+       {&crc32c, &crc32c_bytewise, &crc32c_slice8, &crc32c_sse42})
+    EXPECT_EQ(kernel(data, 0), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+TEST(Crc32c, KernelsMatchTheByteTableOverLengthsAndAlignments) {
+  // Every length 0..4096 at a start offset cycling through all eight
+  // misalignments, plus every (offset, length) pair below 64 bytes where
+  // the head/tail loops of the word kernels do all the work.
+  const auto corpus = crc_corpus(4096 + 8);
+  const std::span<const std::uint8_t> all(corpus);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const auto data = all.subspan(len % 8, len);
+    const std::uint32_t want = crc32c_bytewise(data);
+    ASSERT_EQ(crc32c_slice8(data), want) << "len " << len;
+    ASSERT_EQ(crc32c_sse42(data), want) << "len " << len;
+    ASSERT_EQ(crc32c(data), want) << "len " << len;
+  }
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len < 64; ++len) {
+      const auto data = all.subspan(off, len);
+      const std::uint32_t want = crc32c_bytewise(data);
+      ASSERT_EQ(crc32c_slice8(data), want) << off << "+" << len;
+      ASSERT_EQ(crc32c_sse42(data), want) << off << "+" << len;
+    }
+}
+
+TEST(Crc32c, ChainedSeedsEqualOnePass) {
+  const auto corpus = crc_corpus(1000);
+  const std::span<const std::uint8_t> all(corpus);
+  const std::uint32_t whole = crc32c_bytewise(all);
+  for (Crc32cKernel kernel :
+       {&crc32c, &crc32c_bytewise, &crc32c_slice8, &crc32c_sse42})
+    for (std::size_t cut : {0u, 1u, 7u, 8u, 9u, 333u, 999u, 1000u})
+      EXPECT_EQ(kernel(all.subspan(cut), kernel(all.first(cut), 0)), whole)
+          << "cut " << cut;
 }
 
 }  // namespace

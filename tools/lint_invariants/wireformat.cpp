@@ -214,7 +214,7 @@ const std::vector<FormatSurface>& default_format_surfaces() {
   static const std::vector<FormatSurface> surfaces = {
       {"minibp-step", "src/bp/format.cpp", "encode_step", "src/bp/format.hpp",
        "kMdMagicV6"},
-      {"minibp-footer", "src/bp/format.cpp", "encode_footer",
+      {"minibp-footer", "src/bp/format.cpp", "encode_trailer",
        "src/bp/format.hpp", "kFtrMagic"},
       {"czp1-frame", "src/compress/parallel.cpp",
        "ParallelCodec::compress_append", "src/compress/parallel.cpp",
